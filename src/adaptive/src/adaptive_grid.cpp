@@ -29,20 +29,9 @@ AdaptiveSparseGrid::AdaptiveSparseGrid(dim_t d, level_t n)
   for (level_t j = 0; j < n; ++j) {
     for (const LevelVector& l : LevelRange(d, j)) {
       IndexVector i(d, 1);
-      for (;;) {
+      do {
         nodes_.emplace(make_key(l, i), Node{{l, i}, 0, 0});
-        dim_t t = d;
-        bool carry = true;
-        while (t-- > 0) {
-          i[t] += 2;
-          if (i[t] < (index1d_t{1} << (l[t] + 1))) {
-            carry = false;
-            break;
-          }
-          i[t] = 1;
-        }
-        if (carry) break;
-      }
+      } while (advance_index(l, i));
     }
   }
 }

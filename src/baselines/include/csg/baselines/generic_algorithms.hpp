@@ -34,20 +34,9 @@ void for_each_point(const RegularSparseGrid& grid, Visitor&& visit) {
   for (level_t j = 0; j < grid.level(); ++j) {
     for (const LevelVector& l : LevelRange(d, j)) {
       IndexVector i(d, 1);
-      for (;;) {
+      do {
         visit(l, i);
-        dim_t t = d;
-        bool carry = true;
-        while (t-- > 0) {
-          i[t] += 2;
-          if (i[t] < (index1d_t{1} << (l[t] + 1))) {
-            carry = false;
-            break;
-          }
-          i[t] = 1;
-        }
-        if (carry) break;
-      }
+      } while (advance_index(l, i));
     }
   }
 }
@@ -90,22 +79,11 @@ void hierarchize_iterative(S& storage) {
       for (const LevelVector& l : LevelRange(d, j)) {
         if (l[t] == 0) continue;
         IndexVector i(d, 1);
-        for (;;) {
+        do {
           const real_t v1 = detail::parent_value_kv(storage, l, i, t, false);
           const real_t v2 = detail::parent_value_kv(storage, l, i, t, true);
           storage.set(l, i, storage.get(l, i) - (v1 + v2) / 2);
-          dim_t s = d;
-          bool carry = true;
-          while (s-- > 0) {
-            i[s] += 2;
-            if (i[s] < (index1d_t{1} << (l[s] + 1))) {
-              carry = false;
-              break;
-            }
-            i[s] = 1;
-          }
-          if (carry) break;
-        }
+        } while (advance_index(l, i));
       }
     }
   }
@@ -121,22 +99,11 @@ void dehierarchize_iterative(S& storage) {
       for (const LevelVector& l : LevelRange(d, j)) {
         if (l[t] == 0) continue;
         IndexVector i(d, 1);
-        for (;;) {
+        do {
           const real_t v1 = detail::parent_value_kv(storage, l, i, t, false);
           const real_t v2 = detail::parent_value_kv(storage, l, i, t, true);
           storage.set(l, i, storage.get(l, i) + (v1 + v2) / 2);
-          dim_t s = d;
-          bool carry = true;
-          while (s-- > 0) {
-            i[s] += 2;
-            if (i[s] < (index1d_t{1} << (l[s] + 1))) {
-              carry = false;
-              break;
-            }
-            i[s] = 1;
-          }
-          if (carry) break;
-        }
+        } while (advance_index(l, i));
       }
     }
   }

@@ -67,6 +67,19 @@ inline bool advance_level(LevelVector& l) {
   return true;
 }
 
+/// Index odometer of subspace l: advances i to the next point of l in
+/// row-major order (last dimension fastest, odd indices 1, 3, ...,
+/// 2^{l_t+1} - 1). Returns false after the last point, with i back at
+/// (1, ..., 1).
+inline bool advance_index(const LevelVector& l, IndexVector& i) {
+  for (dim_t t = l.size(); t-- > 0;) {
+    i[t] += 2;
+    if (i[t] < (index1d_t{1} << (l[t] + 1))) return true;
+    i[t] = 1;
+  }
+  return false;
+}
+
 /// Rank of l within L^d_{|l|_1} under the Alg. 3 order (Eq. 4):
 ///   subspaceidx(l) = sum_{t=1}^{d-1} [ C(t + S_t, t) - C(t + S_{t-1}, t) ]
 /// with partial sums S_t = l_0 + ... + l_t. Runs in O(d); all binomials come

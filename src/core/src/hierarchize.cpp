@@ -1,7 +1,8 @@
 #include "csg/core/hierarchize.hpp"
 
+#include <array>
+
 #include "csg/core/grid_point.hpp"
-#include "csg/core/level_enumeration.hpp"
 
 namespace csg {
 
@@ -17,53 +18,12 @@ flat_index_t parent_flat_index(const RegularSparseGrid& grid, LevelVector l,
 
 namespace {
 
-/// Advance the index odometer of subspace l to the next row-major point;
-/// returns false after the last point.
-bool advance_index(const LevelVector& l, IndexVector& i) {
-  for (dim_t t = l.size(); t-- > 0;) {
-    i[t] += 2;
-    if (i[t] < (index1d_t{1} << (l[t] + 1))) return true;
-    i[t] = 1;
-  }
-  return false;
-}
-
 real_t parent_value(const CompactStorage& storage, const LevelVector& l,
                     const IndexVector& i, dim_t t, bool right) {
   const flat_index_t p =
       parent_flat_index(storage.grid(), l, i, t, right);
   return p == kBoundaryParent ? real_t{0} : storage[p];
 }
-
-}  // namespace
-
-void hierarchize(CompactStorage& storage) {
-  const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = 0; t < d; ++t) {
-    // Points with l[t] == 0 have both parents on the boundary: no-op.
-    for (level_t j = n; j-- > 1;) {
-      flat_index_t pos = grid.group_offset(j);
-      for (const LevelVector& l : LevelRange(d, j)) {
-        if (l[t] == 0) {
-          pos += grid.points_per_subspace(j);
-          continue;
-        }
-        IndexVector i(d, 1);
-        do {
-          const real_t v1 = parent_value(storage, l, i, t, /*right=*/false);
-          const real_t v2 = parent_value(storage, l, i, t, /*right=*/true);
-          storage[pos] -= (v1 + v2) / 2;
-          ++pos;
-        } while (advance_index(l, i));
-      }
-      CSG_ASSERT(pos == grid.group_offset(j + 1));
-    }
-  }
-}
-
-namespace {
 
 /// Scalar Alg. 1 recursion over one pole of dimension t in the flat array.
 /// Point (lev, c) — c = (i-1)/2 — sits at offs[lev] + ((A << lev) + c) * S
@@ -103,49 +63,93 @@ struct PoleTransform {
   }
 };
 
-void transform_poles(CompactStorage& storage, bool inverse_op) {
+/// Alg. 6 (forward) or its inverse: the per-subspace update over every
+/// level group's work list, in sweep order. LevelRange walks the list in
+/// rank order without group_subspace's per-item unranking.
+void transform_groups(CompactStorage& storage, Direction dir) {
   const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  std::vector<flat_index_t> offs(n);
-  for (dim_t t = 0; t < d; ++t) {
-    // Pole roots: subspaces with l[t] = 0 in every level group.
-    for (level_t j = 0; j < n; ++j) {
-      for (const LevelVector& l : LevelRange(d, j)) {
-        if (l[t] != 0) continue;
-        const auto budget = static_cast<level_t>(n - 1 - j);
-        LevelVector lt = l;
-        for (level_t lev = 0; lev <= budget; ++lev) {
-          lt[t] = lev;
-          offs[lev] = grid.subspace_offset(lt);
-        }
-        flat_index_t prefix_count = 1, stride = 1;
-        for (dim_t s = 0; s < t; ++s) prefix_count <<= l[s];
-        for (dim_t s = t + 1; s < d; ++s) stride <<= l[s];
-        PoleTransform pole{storage.data(), offs.data(), 0, stride, 0, budget};
-        for (flat_index_t a = 0; a < prefix_count; ++a) {
-          pole.prefix = a;
-          for (flat_index_t b = 0; b < stride; ++b) {
-            pole.suffix = b;
-            if (inverse_op)
-              pole.inverse(0, 0, 0, 0);
-            else
-              pole.forward(0, 0, 0, 0);
-          }
-        }
-      }
-    }
-  }
+  for_each_sweep_group(grid, dir, [&](dim_t t, level_t j) {
+    for (const LevelVector& l : LevelRange(grid.dim(), j))
+      transform_subspace(storage, l, t, dir);
+  });
+}
+
+/// The pole transform over every dimension's pole roots.
+void transform_poles(CompactStorage& storage, Direction dir) {
+  const RegularSparseGrid& grid = storage.grid();
+  for (dim_t t = 0; t < grid.dim(); ++t)
+    for (const LevelVector& root : pole_roots(grid, t))
+      transform_pole_root(storage, root, t, dir);
 }
 
 }  // namespace
 
+void transform_subspace(CompactStorage& storage, const LevelVector& l,
+                        dim_t t, Direction dir) {
+  if (l[t] == 0) return;  // both parents on the boundary
+  IndexVector i(l.size(), 1);
+  flat_index_t pos = storage.grid().subspace_offset(l);
+  do {
+    const real_t v1 = parent_value(storage, l, i, t, /*right=*/false);
+    const real_t v2 = parent_value(storage, l, i, t, /*right=*/true);
+    if (dir == Direction::kForward)
+      storage[pos] -= (v1 + v2) / 2;
+    else
+      storage[pos] += (v1 + v2) / 2;
+    ++pos;
+  } while (advance_index(l, i));
+}
+
+std::vector<LevelVector> pole_roots(const RegularSparseGrid& grid, dim_t t) {
+  std::vector<LevelVector> roots;
+  for (level_t j = 0; j < grid.level(); ++j)
+    for (const LevelVector& l : LevelRange(grid.dim(), j))
+      if (l[t] == 0) roots.push_back(l);
+  return roots;
+}
+
+void transform_pole_root(CompactStorage& storage, const LevelVector& root,
+                         dim_t t, Direction dir) {
+  CSG_EXPECTS(root[t] == 0);
+  const RegularSparseGrid& grid = storage.grid();
+  const dim_t d = grid.dim();
+  const auto budget = static_cast<level_t>(grid.level() - 1 - root.l1_norm());
+  std::array<flat_index_t, kMaxLevel> offs{};
+  LevelVector lt = root;
+  for (level_t lev = 0; lev <= budget; ++lev) {
+    lt[t] = lev;
+    offs[lev] = grid.subspace_offset(lt);
+  }
+  flat_index_t prefix_count = 1, stride = 1;
+  for (dim_t s = 0; s < t; ++s) prefix_count <<= root[s];
+  for (dim_t s = t + 1; s < d; ++s) stride <<= root[s];
+  PoleTransform pole{storage.data(), offs.data(), 0, stride, 0, budget};
+  for (flat_index_t a = 0; a < prefix_count; ++a) {
+    pole.prefix = a;
+    for (flat_index_t b = 0; b < stride; ++b) {
+      pole.suffix = b;
+      if (dir == Direction::kForward)
+        pole.forward(0, 0, 0, 0);
+      else
+        pole.inverse(0, 0, 0, 0);
+    }
+  }
+}
+
+void hierarchize(CompactStorage& storage) {
+  transform_groups(storage, Direction::kForward);
+}
+
+void dehierarchize(CompactStorage& storage) {
+  transform_groups(storage, Direction::kInverse);
+}
+
 void hierarchize_poles(CompactStorage& storage) {
-  transform_poles(storage, /*inverse_op=*/false);
+  transform_poles(storage, Direction::kForward);
 }
 
 void dehierarchize_poles(CompactStorage& storage) {
-  transform_poles(storage, /*inverse_op=*/true);
+  transform_poles(storage, Direction::kInverse);
 }
 
 void hierarchize_literal(CompactStorage& storage) {
@@ -157,33 +161,6 @@ void hierarchize_literal(CompactStorage& storage) {
       const real_t v1 = parent_value(storage, gp.level, gp.index, t, false);
       const real_t v2 = parent_value(storage, gp.level, gp.index, t, true);
       storage[j] -= (v1 + v2) / 2;
-    }
-  }
-}
-
-void dehierarchize(CompactStorage& storage) {
-  const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = d; t-- > 0;) {
-    // Ascending level groups: a point's parents in dimension t are already
-    // restored to nodal-in-t values when the point itself is updated.
-    for (level_t j = 1; j < n; ++j) {
-      flat_index_t pos = grid.group_offset(j);
-      for (const LevelVector& l : LevelRange(d, j)) {
-        if (l[t] == 0) {
-          pos += grid.points_per_subspace(j);
-          continue;
-        }
-        IndexVector i(d, 1);
-        do {
-          const real_t v1 = parent_value(storage, l, i, t, false);
-          const real_t v2 = parent_value(storage, l, i, t, true);
-          storage[pos] += (v1 + v2) / 2;
-          ++pos;
-        } while (advance_index(l, i));
-      }
-      CSG_ASSERT(pos == grid.group_offset(j + 1));
     }
   }
 }

@@ -47,7 +47,7 @@ CompactStorage restrict_to_plane(const CompactStorage& storage,
           lk[kept_slot[t]] = l[t];
       const flat_index_t out_base = out_grid.subspace_offset(lk);
       IndexVector i(d, 1);
-      for (;;) {
+      do {
         // Dropped-dimension weight at the anchor.
         real_t w = 1;
         for (dim_t t = 0; t < d && w != 0; ++t) {
@@ -62,18 +62,7 @@ CompactStorage restrict_to_plane(const CompactStorage& storage,
               w * storage[pos];
         }
         ++pos;
-        dim_t t = d;
-        bool carry = true;
-        while (t-- > 0) {
-          i[t] += 2;
-          if (i[t] < (index1d_t{1} << (l[t] + 1))) {
-            carry = false;
-            break;
-          }
-          i[t] = 1;
-        }
-        if (carry) break;
-      }
+      } while (advance_index(l, i));
     }
     CSG_ASSERT(pos == grid.group_offset(j + 1));
   }

@@ -5,8 +5,11 @@
 // distributed statically over threads, and groups are processed in
 // descending |l|_1 order with a barrier in between — here the implicit
 // barrier at the end of each `omp parallel for`, on the GPU one kernel
-// launch per group. Evaluation is embarrassingly parallel over the set of
-// evaluation points.
+// launch per group. The hierarchization kernels, their work lists and the
+// sweep order all live in core (csg/core/hierarchize.hpp); this layer only
+// partitions those lists over threads, so its results are bit-identical
+// to the sequential entry points for any thread count. Evaluation is
+// embarrassingly parallel over the set of evaluation points.
 //
 // The baseline storages are parallelized the way the paper parallelized the
 // original recursive algorithms: OpenMP tasks over the 1d hierarchization
@@ -34,15 +37,18 @@
 
 namespace csg::parallel {
 
-/// Parallel iterative hierarchization on the compact structure. Barrier per
-/// level group; subspaces within a group are independent because a point's
-/// dimension-t parents always live in a strictly lower group.
+/// Parallel iterative hierarchization on the compact structure: core's
+/// transform_subspace over each level group's work list, split statically.
+/// Barrier per level group; subspaces within a group are independent
+/// because a point's dimension-t parents always live in a strictly lower
+/// group.
 void omp_hierarchize(CompactStorage& storage, int num_threads);
 
 /// Parallel inverse transform (ascending groups, same decomposition).
 void omp_dehierarchize(CompactStorage& storage, int num_threads);
 
-/// Parallel pole-based hierarchization: within one dimension the 1d poles
+/// Parallel pole-based hierarchization: core's transform_pole_root over
+/// pole_roots(t), split statically. Within one dimension the pole families
 /// are fully independent (each carries its own Alg. 1 recursion), so the
 /// only barrier is between dimensions — even less synchronization than the
 /// per-level-group scheme, on top of the pole transform's gp2idx-free

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "csg/core/grid_point.hpp"
-#include "csg/core/level_enumeration.hpp"
-
 namespace csg::parallel {
 
 #if defined(CSG_TSAN_GOMP_BRIDGE)
@@ -17,150 +14,48 @@ void tsan_gomp_bridge_anchor();
     &detail::tsan_gomp_bridge_anchor;
 #endif
 
-namespace detail {
-
-/// Scalar Alg. 1 forward recursion over one pole (see
-/// core/src/hierarchize.cpp's PoleTransform; duplicated here in the
-/// parallel TU with identical arithmetic so results stay bit-identical).
-struct PoleForward {
-  real_t* data;
-  const flat_index_t* offs;
-  flat_index_t prefix;
-  flat_index_t stride;
-  flat_index_t suffix;
-  level_t budget;
-
-  void run(level_t lev, flat_index_t c, real_t left, real_t right) const {
-    const flat_index_t pos =
-        offs[lev] + ((prefix << lev) + c) * stride + suffix;
-    const real_t cur = data[pos];
-    if (lev < budget) {
-      run(lev + 1, 2 * c, left, cur);
-      run(lev + 1, 2 * c + 1, cur, right);
-    }
-    data[pos] = cur - (left + right) / 2;
-  }
-};
-
-}  // namespace detail
-
 namespace {
 
-bool advance_index(const LevelVector& l, IndexVector& i) {
-  for (dim_t t = l.size(); t-- > 0;) {
-    i[t] += 2;
-    if (i[t] < (index1d_t{1} << (l[t] + 1))) return true;
-    i[t] = 1;
-  }
-  return false;
-}
-
-real_t parent_value(const CompactStorage& storage, const LevelVector& l,
-                    const IndexVector& i, dim_t t, bool right) {
-  const flat_index_t p = parent_flat_index(storage.grid(), l, i, t, right);
-  return p == kBoundaryParent ? real_t{0} : storage[p];
-}
-
-/// Process one subspace of level group j for the hierarchization (sign -1)
-/// or the inverse transform (sign +1) along dimension t.
-void transform_subspace(CompactStorage& storage, const LevelVector& l,
-                        flat_index_t base, dim_t t, real_t sign) {
-  if (l[t] == 0) return;  // both parents on the boundary
-  IndexVector i(l.size(), 1);
-  flat_index_t pos = base;
-  do {
-    const real_t v1 = parent_value(storage, l, i, t, false);
-    const real_t v2 = parent_value(storage, l, i, t, true);
-    storage[pos] += sign * (v1 + v2) / 2;
-    ++pos;
-  } while (advance_index(l, i));
+/// omp_hierarchize / omp_dehierarchize: each level group's work list split
+/// statically over threads. The implicit barrier at the end of each
+/// parallel region is the per-group barrier of Sec. 5.3.
+void omp_transform_groups(CompactStorage& storage, Direction dir,
+                          int num_threads) {
+  CSG_EXPECTS(num_threads >= 1);
+  const RegularSparseGrid& grid = storage.grid();
+  for_each_sweep_group(grid, dir, [&](dim_t t, level_t j) {
+    const auto subspaces =
+        static_cast<std::int64_t>(grid.subspaces_in_group(j));
+#pragma omp parallel for schedule(static) num_threads(num_threads)
+    for (std::int64_t k = 0; k < subspaces; ++k)
+      transform_subspace(storage,
+                         group_subspace(grid, j, static_cast<std::uint64_t>(k)),
+                         t, dir);
+  });
 }
 
 }  // namespace
 
 void omp_hierarchize(CompactStorage& storage, int num_threads) {
-  CSG_EXPECTS(num_threads >= 1);
-  const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = 0; t < d; ++t) {
-    for (level_t j = n; j-- > 1;) {
-      const auto subspaces =
-          static_cast<std::int64_t>(grid.subspaces_in_group(j));
-      const flat_index_t base = grid.group_offset(j);
-      const flat_index_t span = grid.points_per_subspace(j);
-      // Static decomposition over subspaces; the implicit barrier at the end
-      // of the parallel region is the per-group barrier of Sec. 5.3.
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-      for (std::int64_t k = 0; k < subspaces; ++k) {
-        const LevelVector l = unrank_subspace(
-            d, j, static_cast<std::uint64_t>(k), grid.binmat());
-        transform_subspace(storage, l, base + span * k, t, real_t{-1});
-      }
-    }
-  }
+  omp_transform_groups(storage, Direction::kForward, num_threads);
 }
 
 void omp_dehierarchize(CompactStorage& storage, int num_threads) {
-  CSG_EXPECTS(num_threads >= 1);
-  const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = d; t-- > 0;) {
-    for (level_t j = 1; j < n; ++j) {
-      const auto subspaces =
-          static_cast<std::int64_t>(grid.subspaces_in_group(j));
-      const flat_index_t base = grid.group_offset(j);
-      const flat_index_t span = grid.points_per_subspace(j);
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-      for (std::int64_t k = 0; k < subspaces; ++k) {
-        const LevelVector l = unrank_subspace(
-            d, j, static_cast<std::uint64_t>(k), grid.binmat());
-        transform_subspace(storage, l, base + span * k, t, real_t{1});
-      }
-    }
-  }
+  omp_transform_groups(storage, Direction::kInverse, num_threads);
 }
 
 void omp_hierarchize_poles(CompactStorage& storage, int num_threads) {
   CSG_EXPECTS(num_threads >= 1);
   const RegularSparseGrid& grid = storage.grid();
-  const dim_t d = grid.dim();
-  const level_t n = grid.level();
-  for (dim_t t = 0; t < d; ++t) {
-    // Collect this dimension's pole-root subspaces (l[t] == 0), then let
-    // threads take them statically. Implicit barrier between dimensions.
-    std::vector<LevelVector> roots;
-    for (level_t j = 0; j < n; ++j)
-      for (const LevelVector& l : LevelRange(d, j))
-        if (l[t] == 0) roots.push_back(l);
+  for (dim_t t = 0; t < grid.dim(); ++t) {
+    // Pole roots split statically over threads; the implicit barrier at
+    // region end separates the dimensions.
+    const std::vector<LevelVector> roots = pole_roots(grid, t);
     const auto count = static_cast<std::int64_t>(roots.size());
-#pragma omp parallel num_threads(num_threads)
-    {
-      std::vector<flat_index_t> offs(n);
-#pragma omp for schedule(static)
-      for (std::int64_t r = 0; r < count; ++r) {
-        const LevelVector& l = roots[static_cast<std::size_t>(r)];
-        const auto budget = static_cast<level_t>(n - 1 - l.l1_norm());
-        LevelVector lt = l;
-        for (level_t lev = 0; lev <= budget; ++lev) {
-          lt[t] = lev;
-          offs[lev] = grid.subspace_offset(lt);
-        }
-        flat_index_t prefix_count = 1, stride = 1;
-        for (dim_t s = 0; s < t; ++s) prefix_count <<= l[s];
-        for (dim_t s = t + 1; s < d; ++s) stride <<= l[s];
-        detail::PoleForward pole{storage.data(), offs.data(), 0, stride, 0,
-                                 budget};
-        for (flat_index_t a = 0; a < prefix_count; ++a) {
-          pole.prefix = a;
-          for (flat_index_t b = 0; b < stride; ++b) {
-            pole.suffix = b;
-            pole.run(0, 0, 0, 0);
-          }
-        }
-      }
-    }
+#pragma omp parallel for schedule(static) num_threads(num_threads)
+    for (std::int64_t r = 0; r < count; ++r)
+      transform_pole_root(storage, roots[static_cast<std::size_t>(r)], t,
+                          Direction::kForward);
   }
 }
 

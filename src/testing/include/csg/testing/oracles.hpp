@@ -59,7 +59,8 @@ OracleResult check_hierarchize_parity(const CompactStorage& nodal,
                                       const OracleOptions& opts = {});
 
 /// hierarchize/dehierarchize pairings (including mixed traversals) return
-/// the original array.
+/// the original array, and omp_dehierarchize matches dehierarchize
+/// bit for bit (exact_ulps).
 OracleResult check_round_trip(const CompactStorage& values,
                               const OracleOptions& opts = {});
 

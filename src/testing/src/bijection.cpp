@@ -16,16 +16,6 @@ std::string format_point(const LevelVector& l, const IndexVector& i) {
   return os.str();
 }
 
-/// Advance the row-major index odometer of subspace l; false when wrapped.
-bool advance_index(const LevelVector& l, IndexVector& i) {
-  for (dim_t t = l.size(); t-- > 0;) {
-    i[t] += 2;
-    if (i[t] < (index1d_t{1} << (l[t] + 1))) return true;
-    i[t] = 1;
-  }
-  return false;
-}
-
 }  // namespace
 
 BijectionReport verify_bijection_exhaustive(const RegularSparseGrid& grid) {

@@ -167,7 +167,11 @@ OracleResult check_round_trip(const CompactStorage& values,
   {
     CompactStorage s = values;
     parallel::omp_hierarchize(s, opts.threads);
+    CompactStorage seq = s;
+    dehierarchize(seq);
     parallel::omp_dehierarchize(s, opts.threads);
+    compare_arrays(r, seq, s, "dehierarchize vs omp_dehierarchize",
+                   opts.exact_ulps, 0);
     compare_arrays(r, values, s, "round trip omp/omp", opts.cross_ulps,
                    opts.abs_floor);
   }

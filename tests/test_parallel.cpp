@@ -211,6 +211,8 @@ TEST(Parallel, RepeatedRunsAreDeterministic) {
 TEST(ParallelDeath, ZeroThreadsRejected) {
   CompactStorage s(2, 3);
   EXPECT_DEATH(omp_hierarchize(s, 0), "precondition");
+  EXPECT_DEATH(omp_dehierarchize(s, 0), "precondition");
+  EXPECT_DEATH(omp_hierarchize_poles(s, 0), "precondition");
 }
 
 }  // namespace
