@@ -8,6 +8,8 @@
 //   blocked    Sec. 4.3 point blocking on top of the plan
 //   omp        omp_evaluate_many_blocked: threads over point blocks,
 //              plan shared read-only, disjoint out ranges (barrier-free)
+//   soa        the SoA batch kernel behind every blocked path, timed
+//              once warm, with its deterministic work counters
 // The default shape (d=5, n=9, 10k points) matches the acceptance target:
 // omp blocked must beat sequential evaluate_many.
 #include <thread>
@@ -147,17 +149,10 @@ int main(int argc, char** argv) {
                 t, s, seq_many_s / s);
   }
 
-  // --- soa_vs_scalar: the SoA batch kernel against the forced scalar
-  // fallback (DESIGN.md §14), same plan, same blocking. The speedup is
-  // recorded neutral (it is host-vector-width-dependent); the work counters
-  // are deterministic functions of (points, block, plan) and gate exactly.
+  // --- soa: the SoA batch kernel (DESIGN.md §14), same plan, same
+  // blocking, checked against the no-plan walk. The work counters are
+  // deterministic functions of (points, block, plan) and gate exactly.
   {
-    const EvalKernel saved = eval_kernel();
-    set_eval_kernel(EvalKernel::kScalar);
-    std::vector<real_t> scalar_out;
-    const double scalar_s = csg::bench::time_per_call_s(
-        [&] { scalar_out = evaluate_many_blocked(storage, pts, block); });
-    set_eval_kernel(EvalKernel::kSoa);
     // Warm the thread-local arena, then pin zero steady-state allocation
     // and take one deterministic counter snapshot.
     std::vector<real_t> soa_out = evaluate_many_blocked(storage, pts, block);
@@ -169,15 +164,12 @@ int main(int argc, char** argv) {
         PointBlock::allocation_count() - arena0;
     const double soa_s = csg::bench::time_per_call_s(
         [&] { soa_out = evaluate_many_blocked(storage, pts, block); });
-    set_eval_kernel(saved);
 
-    const bool exact_soa = bit_identical(soa_out, reference) &&
-                           bit_identical(scalar_out, reference);
-    std::printf("\nsoa_vs_scalar (block %zu, lane width %zu):\n", block,
+    const bool exact_soa = bit_identical(soa_out, reference);
+    std::printf("\nsoa kernel (block %zu, lane width %zu):\n", block,
                 kPointBlockLane);
-    std::printf("  scalar fallback   %10.4f s\n", scalar_s);
-    std::printf("  soa kernel        %10.4f s  %8.2fx vs scalar   exact: %s\n",
-                soa_s, scalar_s / soa_s, exact_soa ? "yes" : "NO");
+    std::printf("  soa kernel        %10.4f s  %8.2fx vs walk     exact: %s\n",
+                soa_s, walk_s / soa_s, exact_soa ? "yes" : "NO");
     std::printf("  one pass: %llu blocks, %llu lanes, %llu subspace visits, "
                 "%llu steady-state arena allocations\n",
                 static_cast<unsigned long long>(stats.blocks),
@@ -186,11 +178,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(steady_allocs));
     report.add_time("eval_s/soa_blocked", csg::bench::summarize({soa_s}))
         .tolerance = 1.0;
-    report.add_time("eval_s/scalar_blocked",
-                    csg::bench::summarize({scalar_s}))
-        .tolerance = 1.0;
-    report.add_counter("soa/speedup_vs_scalar", scalar_s / soa_s, "x",
-                       Better::kNeutral);
     report.add_counter("soa/points", static_cast<double>(pts.size()), "count",
                        Better::kNeutral);
     report.add_counter("soa/lane_width",

@@ -64,9 +64,9 @@ std::vector<real_t> evaluate_many_blocked(const EvaluationPlan& plan,
 /// range (out.size() == points.size()). This is the shared core of the
 /// sequential and the OpenMP blocked paths: a parallel caller hands each
 /// thread a disjoint (points, out) slice and needs no reduction or barrier.
-/// Each block runs through the SoA kernel below (a thread-local PointBlock
-/// arena is transposed once per block and reused across calls), unless the
-/// scalar path is selected via set_eval_kernel/CSG_FORCE_SCALAR_EVAL.
+/// Each block runs through the SoA kernel below, the only batch kernel (a
+/// thread-local PointBlock arena is transposed once per block and reused
+/// across calls).
 void evaluate_blocked_into(const EvaluationPlan& plan,
                            std::span<const real_t> coeffs,
                            std::span<const CoordVector> points,
@@ -77,25 +77,11 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
 /// against a full lane of points with `#pragma omp simd`; the boundary and
 /// support tests of Alg. 7 are arithmetic selects, so the loop body is
 /// branch-free and vectorizes. For finite coefficients the result is
-/// bit-identical to the scalar path per point; tests pin ULP-0 equality
-/// through the comparator (which also identifies +0 and -0).
+/// bit-identical per point to the per-point reference evaluate_span; tests
+/// pin ULP-0 equality through the comparator (which also identifies +0 and
+/// -0).
 void evaluate_block_soa(const EvaluationPlan& plan,
                         std::span<const real_t> coeffs, PointBlock& block);
-
-/// Which batch kernel evaluate_blocked_into runs. kAuto defers to the
-/// CSG_FORCE_SCALAR_EVAL environment variable (set and non-"0" forces the
-/// scalar path); kSoa/kScalar pin the choice programmatically — the
-/// differential tests and `csgtool evalbatch --soa|--scalar` use this.
-enum class EvalKernel : std::uint8_t { kAuto = 0, kSoa = 1, kScalar = 2 };
-
-/// Process-wide kernel selection override (relaxed atomic; flip only from
-/// a quiesced state — tests and CLI setup, not mid-batch).
-void set_eval_kernel(EvalKernel kernel);
-EvalKernel eval_kernel();
-
-/// The resolved decision: true iff evaluate_blocked_into will run the SoA
-/// kernel for the current selection + environment.
-bool eval_uses_soa();
 
 /// Deterministic SoA kernel tallies (relaxed atomics): blocks and
 /// kPointBlockLane-wide lanes fed through evaluate_block_soa, and subspaces

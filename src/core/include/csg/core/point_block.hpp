@@ -20,15 +20,22 @@
 // point-layout allocations" a testable claim (bench_serve gates on it).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "csg/core/dim_vector.hpp"
-#include "csg/core/simd.hpp"
 #include "csg/core/types.hpp"
 
 namespace csg {
+
+/// Fixed lane-padding granule of PointBlock: every SoA coordinate array is
+/// padded to a multiple of this many points. Fixed (not the host's vector
+/// width) so the padded sizes — and the lane counters derived from them —
+/// are identical on every machine; 8 doubles cover a whole number of
+/// vectors on every SSE2/AVX/AVX-512/NEON target.
+inline constexpr std::size_t kPointBlockLane = 8;
 
 class PointBlock {
  public:

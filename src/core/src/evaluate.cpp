@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "csg/core/grid_point.hpp"
 #include "csg/core/level_enumeration.hpp"
@@ -16,7 +15,8 @@ namespace {
 /// starting at flat position `base`) to the interpolant at x: the one basis
 /// with x in its support, times its coefficient. The body of Alg. 7 lines
 /// 6-16. Shared verbatim by the walk and the plan paths so both produce
-/// bit-identical sums.
+/// bit-identical sums; the per-point reference the SoA batch kernel is
+/// pinned against.
 real_t subspace_contribution(const real_t* coeffs, const level_t* l, dim_t d,
                              flat_index_t base, const CoordVector& x) {
   real_t prod = 1;
@@ -30,21 +30,9 @@ real_t subspace_contribution(const real_t* coeffs, const level_t* l, dim_t d,
   return prod * coeffs[base + index1];
 }
 
-std::atomic<EvalKernel> g_eval_kernel{EvalKernel::kAuto};
 std::atomic<std::uint64_t> g_soa_blocks{0};
 std::atomic<std::uint64_t> g_soa_lanes{0};
 std::atomic<std::uint64_t> g_soa_subspaces{0};
-
-bool env_forces_scalar() {
-  // Read once: the env var selects the kernel for the process lifetime;
-  // runtime flips go through set_eval_kernel instead.
-  static const bool forced = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read-only, pre-thread startup
-    const char* v = std::getenv("CSG_FORCE_SCALAR_EVAL");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  }();
-  return forced;
-}
 
 /// 2^l as an exact double (l <= kMaxLevel + 1 < 63).
 real_t pow2_real(level_t l) {
@@ -58,23 +46,6 @@ real_t pow2_real(level_t l) {
 constexpr real_t kFloorShift = 4503599627370496.0;  // 2^52
 
 }  // namespace
-
-void set_eval_kernel(EvalKernel kernel) {
-  g_eval_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-EvalKernel eval_kernel() {
-  return g_eval_kernel.load(std::memory_order_relaxed);
-}
-
-bool eval_uses_soa() {
-  switch (eval_kernel()) {
-    case EvalKernel::kSoa: return true;
-    case EvalKernel::kScalar: return false;
-    case EvalKernel::kAuto: break;
-  }
-  return !env_forces_scalar();
-}
 
 SoaKernelStats soa_kernel_stats() {
   return {g_soa_blocks.load(std::memory_order_relaxed),
@@ -227,36 +198,17 @@ void evaluate_blocked_into(const EvaluationPlan& plan,
   CSG_EXPECTS(block_size >= 1);
   CSG_EXPECTS(out.size() == points.size());
   CSG_EXPECTS(coeffs.size() >= plan.num_points());
-  const dim_t d = plan.dim();
-  if (eval_uses_soa()) {
-    // Thread-local arena: OpenMP pool threads and serve workers alike keep
-    // one PointBlock alive across calls, so a steady-state batch stream
-    // transposes in place and performs zero point-layout allocations
-    // (PointBlock::allocation_count() stays flat — bench_serve gates this).
-    thread_local PointBlock block;
-    for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
-      const std::size_t b1 = std::min(b0 + block_size, points.size());
-      block.assign(d, points.subspan(b0, b1 - b0));
-      evaluate_block_soa(plan, coeffs, block);
-      const real_t* acc = block.accum();
-      for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];
-    }
-    return;
-  }
-  // Scalar fallback: the pre-SoA blocked loop, kept verbatim (and selectable
-  // via CSG_FORCE_SCALAR_EVAL / set_eval_kernel) so differential tests can
-  // pin the SoA kernel against a bit-identical-to-seed reference.
-  const level_t* levels = plan.packed_levels();
-  const flat_index_t* offsets = plan.offsets();
-  const std::size_t count = plan.subspace_count();
+  // Thread-local arena: OpenMP pool threads and serve workers alike keep
+  // one PointBlock alive across calls, so a steady-state batch stream
+  // transposes in place and performs zero point-layout allocations
+  // (PointBlock::allocation_count() stays flat — bench_serve gates this).
+  thread_local PointBlock block;
   for (std::size_t b0 = 0; b0 < points.size(); b0 += block_size) {
     const std::size_t b1 = std::min(b0 + block_size, points.size());
-    for (std::size_t s = 0; s < count; ++s) {
-      const level_t* l = levels + s * d;
-      const flat_index_t base = offsets[s];
-      for (std::size_t p = b0; p < b1; ++p)
-        out[p] += subspace_contribution(coeffs.data(), l, d, base, points[p]);
-    }
+    block.assign(plan.dim(), points.subspan(b0, b1 - b0));
+    evaluate_block_soa(plan, coeffs, block);
+    const real_t* acc = block.accum();
+    for (std::size_t p = b0; p < b1; ++p) out[p] += acc[p - b0];
   }
 }
 

@@ -232,7 +232,13 @@ void NetServer::writer_loop(ByteStream& stream, Pipeline& pipeline) {
       }
       slot.frame = encode_eval_response(resp);
     }
+    // Count an error frame before writing it: a peer that has read the frame
+    // must already see it in stats(). A failed write takes the count back.
+    if (slot.is_error)
+      counters_.error_frames_sent.fetch_add(1, std::memory_order_relaxed);
     if (!send(stream, slot.frame)) {
+      if (slot.is_error)
+        counters_.error_frames_sent.fetch_sub(1, std::memory_order_relaxed);
       // The stream is dead. Unblock the reader and drop everything still
       // queued — the futures inside resolve into discarded promises.
       {
@@ -249,8 +255,6 @@ void NetServer::writer_loop(ByteStream& stream, Pipeline& pipeline) {
       MutexLock lock(pipeline.mutex);
       --pipeline.inflight;
     }
-    if (slot.is_error)
-      counters_.error_frames_sent.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -92,8 +92,9 @@ std::vector<real_t> omp_evaluate_many_blocked(
   CSG_EXPECTS(num_threads >= 1);
   CSG_EXPECTS(block_size >= 1);
   std::vector<real_t> out(points.size(), 0);
+  // Rounded-up division that cannot wrap for any block_size.
   const auto num_blocks = static_cast<std::int64_t>(
-      (points.size() + block_size - 1) / block_size);
+      points.size() / block_size + (points.size() % block_size != 0));
   // One iteration per point block; blocks write disjoint out ranges, so
   // the reduction is barrier-free and results are bit-identical for any
   // thread count (each point always sums subspaces in enumeration order).

@@ -71,12 +71,11 @@ OracleResult check_evaluate_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts = {});
 
-/// Differential battery for the SoA batch kernel (DESIGN.md §14): the SoA
-/// and scalar blocked paths are each pinned against the per-point reference
-/// walker with the exact_ulps comparator, across a block-size sweep that
-/// includes 1, the lane width +-1, and oversized blocks, plus a direct
-/// evaluate_block_soa call on a hand-built PointBlock. Kernel selection is
-/// flipped via set_eval_kernel and restored on exit.
+/// Differential battery for the SoA batch kernel (DESIGN.md §14): the
+/// sequential and OpenMP blocked paths are pinned against the per-point
+/// reference evaluate() with the exact_ulps comparator, across a block-size
+/// sweep that includes 1, the lane width +-1, and oversized blocks, plus a
+/// direct evaluate_block_soa call on a hand-built PointBlock.
 OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts = {});

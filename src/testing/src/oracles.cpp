@@ -11,7 +11,6 @@
 #include "csg/core/evaluate.hpp"
 #include "csg/core/hierarchize.hpp"
 #include "csg/core/point_block.hpp"
-#include "csg/core/simd.hpp"
 #include "csg/io/serialize.hpp"
 #include "csg/parallel/omp_algorithms.hpp"
 #include "csg/testing/compare.hpp"
@@ -252,23 +251,6 @@ OracleResult check_evaluate_parity(const CompactStorage& coeffs,
   return r;
 }
 
-namespace {
-
-/// Restores the process-wide kernel selection when a differential oracle
-/// that flips it (check_eval_soa_parity) leaves scope, pass or fail.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(eval_kernel()) {}
-  ~KernelGuard() { set_eval_kernel(saved_); }
-  KernelGuard(const KernelGuard&) = delete;
-  KernelGuard& operator=(const KernelGuard&) = delete;
-
- private:
-  EvalKernel saved_;
-};
-
-}  // namespace
-
 OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
                                    std::span<const CoordVector> points,
                                    const OracleOptions& opts) {
@@ -307,20 +289,12 @@ OracleResult check_eval_soa_parity(const CompactStorage& coeffs,
   const std::size_t lane = kPointBlockLane;
   const std::size_t sweep[] = {1,        lane - 1,          lane,
                                lane + 1, 3 * lane,          points.size() + 3};
-  KernelGuard guard;
-  for (const EvalKernel kernel : {EvalKernel::kScalar, EvalKernel::kSoa}) {
-    set_eval_kernel(kernel);
-    const char* name = kernel == EvalKernel::kSoa ? "soa" : "scalar";
-    for (const std::size_t block : sweep) {
-      compare_values(evaluate_many_blocked(coeffs, points, block),
-                     std::string("evaluate vs blocked[") + name +
-                         "](block=" + std::to_string(block) + ")");
-    }
-    compare_values(
-        parallel::omp_evaluate_many_blocked(*plan, raw, points, lane + 1,
-                                            opts.threads),
-        std::string("evaluate vs omp_blocked[") + name + "]");
-  }
+  for (const std::size_t block : sweep)
+    compare_values(evaluate_many_blocked(coeffs, points, block),
+                   "evaluate vs blocked(block=" + std::to_string(block) + ")");
+  compare_values(parallel::omp_evaluate_many_blocked(*plan, raw, points,
+                                                     lane + 1, opts.threads),
+                 "evaluate vs omp_blocked");
 
   // Direct kernel call on a hand-built PointBlock: the accumulator lanes for
   // the real points must match the walker; the padded tail is scratch.

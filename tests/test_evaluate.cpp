@@ -7,7 +7,6 @@
 
 #include "csg/core/hierarchize.hpp"
 #include "csg/core/point_block.hpp"
-#include "csg/core/simd.hpp"
 #include "csg/testing/generators.hpp"
 #include "csg/testing/oracles.hpp"
 #include "csg/testing/property.hpp"
@@ -18,13 +17,6 @@ namespace csg {
 namespace {
 
 using workloads::TestFunction;
-
-/// Restores the process-wide kernel selection on scope exit so a failing
-/// assertion cannot leak a forced kernel into later tests.
-struct KernelGuard {
-  EvalKernel saved = eval_kernel();
-  ~KernelGuard() { set_eval_kernel(saved); }
-};
 
 CompactStorage compressed(const TestFunction& f, dim_t d, level_t n) {
   CompactStorage s(d, n);
@@ -126,46 +118,29 @@ TEST(Evaluate, HigherDimensionalErrorIsControlled) {
   EXPECT_LT(err, 0.05);
 }
 
-TEST(EvaluateSoa, KernelSelectionApi) {
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kScalar);
-  EXPECT_EQ(eval_kernel(), EvalKernel::kScalar);
-  EXPECT_FALSE(eval_uses_soa());
-  set_eval_kernel(EvalKernel::kSoa);
-  EXPECT_EQ(eval_kernel(), EvalKernel::kSoa);
-  EXPECT_TRUE(eval_uses_soa());
-  set_eval_kernel(EvalKernel::kAuto);
-  EXPECT_EQ(eval_kernel(), EvalKernel::kAuto);
-}
-
 TEST(EvaluateSoa, BitIdenticalToScalarAcrossBlockSizes) {
   const CompactStorage s = compressed(workloads::oscillatory(4), 4, 5);
   const auto pts = workloads::uniform_points(4, 3 * kPointBlockLane + 5, 23);
-  KernelGuard guard;
   for (const std::size_t block :
        {std::size_t{1}, kPointBlockLane - 1, kPointBlockLane,
         kPointBlockLane + 1, pts.size() + 40}) {
-    set_eval_kernel(EvalKernel::kScalar);
-    const auto scalar = evaluate_many_blocked(s, pts, block);
-    set_eval_kernel(EvalKernel::kSoa);
     const auto soa = evaluate_many_blocked(s, pts, block);
-    ASSERT_EQ(soa.size(), scalar.size());
+    ASSERT_EQ(soa.size(), pts.size());
     for (std::size_t p = 0; p < pts.size(); ++p)
-      EXPECT_EQ(soa[p], scalar[p]) << "block=" << block << " point " << p;
+      EXPECT_EQ(soa[p], evaluate(s, pts[p]))
+          << "block=" << block << " point " << p;
   }
 }
 
 TEST(EvaluateSoa, BoundaryAndGridLinePoints) {
   // Points exactly on the 0/1 domain boundary and on dyadic grid lines sit
   // on a subspace support edge: the hat product is an exact 0 there, and
-  // the branch-free select must reproduce the scalar path bit for bit.
+  // the branch-free select must reproduce evaluate() bit for bit.
   const CompactStorage s = compressed(workloads::simulation_field(2), 2, 5);
   const std::vector<CoordVector> pts{
       {0.0, 0.0},   {1.0, 1.0},  {0.0, 1.0},    {0.5, 0.5},
       {0.25, 0.75}, {0.5, 0.31}, {0.125, 0.625}, {1.0, 0.41},
       {0.0, 0.99},  {0.875, 0.0}};
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kSoa);
   const auto soa = evaluate_many_blocked(s, pts, 4);
   for (std::size_t p = 0; p < pts.size(); ++p)
     EXPECT_EQ(soa[p], evaluate(s, pts[p])) << "point " << p;
@@ -175,8 +150,6 @@ TEST(EvaluateSoa, BoundaryAndGridLinePoints) {
 }
 
 TEST(EvaluateSoa, DegenerateShapes) {
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kSoa);
   {
     // d = 1, n = 1: a single basis function.
     CompactStorage s(1, 1);
@@ -208,8 +181,6 @@ TEST(EvaluateSoa, StatsCountBlocksLanesAndSubspaces) {
   const auto pts = workloads::uniform_points(3, 133, 7);
   const auto plan = EvaluationPlan::shared(s.grid());
   const std::size_t block = 17;
-  KernelGuard guard;
-  set_eval_kernel(EvalKernel::kSoa);
   reset_soa_kernel_stats();
   (void)evaluate_many_blocked(s, pts, block);
   const SoaKernelStats stats = soa_kernel_stats();
@@ -222,14 +193,10 @@ TEST(EvaluateSoa, StatsCountBlocksLanesAndSubspaces) {
   EXPECT_EQ(stats.blocks, blocks);
   EXPECT_EQ(stats.lanes, lanes);
   EXPECT_EQ(stats.subspaces_visited, blocks * plan->subspace_count());
-  // The scalar path must not touch the SoA tallies.
-  set_eval_kernel(EvalKernel::kScalar);
-  (void)evaluate_many_blocked(s, pts, block);
-  EXPECT_EQ(soa_kernel_stats().blocks, blocks);
 }
 
 TEST(EvaluateSoa, OracleBatteryOnRandomGrids) {
-  // Differential property: SoA vs scalar vs the reference walker over
+  // Differential property: the SoA kernel vs the per-point reference over
   // seeded random shapes, coefficients, and point clouds. Replay a failure
   // with CSG_PROPERTY_SEED=<seed> (docs/TESTING.md).
   const auto r = testing::run_property(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -144,8 +145,9 @@ TEST_P(ThreadSweep, OmpPoleAndGroupSchemesAgree) {
 TEST_P(ThreadSweep, OmpBlockedEvaluateEdgeBlockSizes) {
   // Degenerate blockings must not change results or crash: one point per
   // block (maximal scheduling overhead), a block larger than the whole
-  // point set (single block), and a size that does not divide the count
-  // (ragged final block).
+  // point set (single block), a size that does not divide the count
+  // (ragged final block), and the largest size_t (the block count must not
+  // wrap to zero).
   const int threads = GetParam();
   const dim_t d = 3;
   CompactStorage s(d, 5);
@@ -154,7 +156,8 @@ TEST_P(ThreadSweep, OmpBlockedEvaluateEdgeBlockSizes) {
   const auto pts = workloads::uniform_points(d, 103, 19);  // prime count
   const auto expected = evaluate_many(s, pts);
   for (const std::size_t block :
-       {std::size_t{1}, pts.size() + 17, std::size_t{16}, std::size_t{64}}) {
+       {std::size_t{1}, pts.size() + 17, std::size_t{16}, std::size_t{64},
+        std::numeric_limits<std::size_t>::max()}) {
     const auto got = omp_evaluate_many_blocked(s, pts, block, threads);
     ASSERT_EQ(got.size(), expected.size()) << "block=" << block;
     for (std::size_t p = 0; p < pts.size(); ++p)
